@@ -264,17 +264,6 @@ func denseHashedCases() []denseCase {
 			})
 			return st, tracesOf(pkts)
 		}},
-		{"ranade6-replylinks", func(seed uint64, workers int, hashed bool) (any, []ptrace) {
-			// The knob selects the reply pass's dense reverse-link
-			// table vs its hashed map (the forward pass has no engine
-			// link state).
-			n := ranade.New(6)
-			pkts := readHotSpots(n.Nodes(), seed)
-			st := n.RouteOpts(pkts, ranade.Options{
-				Combine: true, Seed: seed, Workers: workers, HashedKeys: hashed,
-			})
-			return st, tracesOf(pkts)
-		}},
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
 	"pramemu/internal/ranade"
+	"pramemu/internal/router"
 	"pramemu/internal/simnet"
 	"pramemu/internal/topology"
 )
@@ -112,30 +113,7 @@ func (n *TopologyNetwork) useLeveled() bool { return n.spec != nil && !n.direct 
 
 // Route implements Network.
 func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64, workers int) RouteStats {
-	if n.useLeveled() {
-		s := leveled.Route(n.spec, pkts, leveled.Options{
-			Context:    n.Context,
-			Seed:       seed,
-			Replies:    true,
-			Combine:    combine,
-			Workers:    workers,
-			SkipPhase1: n.SkipPhase1,
-			HashedKeys: n.HashedKeys,
-			PagedKeys:  n.PagedKeys,
-			MemBudget:  n.MemBudget,
-			MemStats:   n.MemStats,
-			Lease:      n.Lease,
-		})
-		return RouteStats{
-			Rounds:        s.Rounds,
-			MaxQueue:      s.MaxQueue,
-			Merges:        s.Merges,
-			MaxModuleLoad: s.MaxModuleLoad,
-			Requests:      s.DeliveredRequests,
-			Replies:       s.DeliveredReplies,
-		}
-	}
-	s, err := simnet.Route(n.graph, pkts, simnet.Options{
+	opts := router.Options{
 		Context:    n.Context,
 		Seed:       seed,
 		Replies:    true,
@@ -147,11 +125,17 @@ func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64
 		MemBudget:  n.MemBudget,
 		MemStats:   n.MemStats,
 		Lease:      n.Lease,
-	})
-	if err != nil {
-		// The constructor verified the key space; any residual error
-		// is a programming bug, not an operating condition.
-		panic(fmt.Sprintf("emul: %v", err))
+	}
+	var s router.Stats
+	if n.useLeveled() {
+		s = leveled.Route(n.spec, pkts, opts)
+	} else {
+		var err error
+		if s, err = simnet.Route(n.graph, pkts, opts); err != nil {
+			// The constructor verified the key space; any residual
+			// error is a programming bug, not an operating condition.
+			panic(fmt.Sprintf("emul: %v", err))
+		}
 	}
 	return RouteStats{
 		Rounds:        s.Rounds,

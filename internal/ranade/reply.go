@@ -15,30 +15,22 @@ import (
 // Reverse links are keyed densely: a butterfly node has exactly two
 // upstream neighbours, so the link from flat node id f back toward
 // the row whose distinguishing bit is b is key f*2 + b. The keys
-// index a slice-backed table with an incrementally maintained
-// active-key list (the same flat-state layout as the round engine's
-// dense path) — flat up to denseReplyLimit keys, fixed-size pages
-// allocated on first touch beyond it, so even the largest instances
-// pay only for touched reverse links; a hash map remains as the
-// forced-hashed ablation. The key order equals the old packed
-// (from, to) order, so round counts are unchanged.
+// index a paged table: a directory of fixed-size pages of link
+// queues, each allocated on first touch, plus an incrementally
+// maintained list of the non-empty keys (the round engine's paged
+// layout). Memory tracks the reverse links reply traffic touches, so
+// the largest instance New accepts (k=20, 44M keys) costs a ~43K-entry
+// directory plus its touched pages.
 //
 // Insertions are staged per round and committed in sorted (link,
 // packet ID) order — the engine's radix sort over its canonical
 // Arrival ordering — which makes the whole pass deterministic and
 // independent of the forward pass's worker layout.
 type replyPass struct {
-	n  *Network
-	st *Stats
-	// table is the flat dense reverse-link state; pages is the paged
-	// variant serving key spaces beyond the flat cap (fixed-size
-	// pages of slice headers, allocated on first touch); nil both
-	// selects links.
-	table  [][]*packet.Packet
+	n      *Network
+	st     *Stats
 	pages  []*[replyPageSize][]*packet.Packet
 	active []uint64
-	// links is the hashed fallback, keyed identically.
-	links map[uint64][]*packet.Packet
 	// staged holds this round's insertions until commit; spare is the
 	// radix sort's reused scratch buffer.
 	staged   []engine.Arrival
@@ -47,42 +39,25 @@ type replyPass struct {
 	maxQueue int
 }
 
-// denseReplyLimit caps the flat reverse-link table at 2M slice
-// headers (~48 MiB up front). Beyond it the table is paged: the k=20
-// worst case, 44M keys, then prices a ~86K-entry page directory plus
-// only the pages reply traffic actually touches.
-const denseReplyLimit = 1 << 21
-
-// replyPageBits sizes the paged reverse-link pages, mirroring the
-// round engine's paged tables.
+// replyPageBits sizes the reverse-link pages: 1024 queue slots
+// (24 KiB), so a small instance touches one small page.
 const (
-	replyPageBits = 12
+	replyPageBits = 10
 	replyPageSize = 1 << replyPageBits
 	replyPageMask = replyPageSize - 1
 )
 
-func newReplyPass(n *Network, st *Stats, hashed bool) *replyPass {
-	rp := &replyPass{n: n, st: st}
+func newReplyPass(n *Network, st *Stats) *replyPass {
 	keys := 2 * (n.k + 1) * n.rows
-	switch {
-	case hashed:
-		rp.links = make(map[uint64][]*packet.Packet)
-	case keys <= denseReplyLimit:
-		rp.table = make([][]*packet.Packet, keys)
-	default:
-		rp.pages = make([]*[replyPageSize][]*packet.Packet, (keys-1)>>replyPageBits+1)
-	}
-	return rp
+	pages := make([]*[replyPageSize][]*packet.Packet, (keys-1)>>replyPageBits+1)
+	return &replyPass{n: n, st: st, pages: pages}
 }
-
-// dense reports whether the pass keeps an active-key list (flat or
-// paged tables) rather than the hashed map.
-func (rp *replyPass) dense() bool { return rp.table != nil || rp.pages != nil }
 
 // linkKey encodes the reverse link from flat node id `from` to flat
 // node id `to` one level up the return path. The two candidate target
-// rows differ exactly in bit level-1, so that bit indexes the pair —
-// and orders it the same way the target ids themselves do.
+// rows differ exactly in bit level-1, so that bit indexes the pair.
+// The encoding is injective, which is all results depend on: two
+// replies share a queue exactly when they share a reverse link.
 func (rp *replyPass) linkKey(from, to int32) uint64 {
 	level := int(from) >> rp.n.k
 	bit := uint64(to) >> (level - 1) & 1
@@ -135,14 +110,13 @@ func (rp *replyPass) stage(p *packet.Packet) {
 func (rp *replyPass) commit() {
 	sorted, spare := engine.SortArrivals(rp.staged, rp.spare)
 	for _, s := range sorted {
-		q := rp.queueAt(s.Key)
-		if rp.dense() && len(q) == 0 {
+		q := rp.queue(s.Key)
+		if len(*q) == 0 {
 			rp.active = append(rp.active, s.Key)
 		}
-		q = append(q, s.P)
-		rp.setQueue(s.Key, q)
-		if len(q) > rp.maxQueue {
-			rp.maxQueue = len(q)
+		*q = append(*q, s.P)
+		if len(*q) > rp.maxQueue {
+			rp.maxQueue = len(*q)
 		}
 	}
 	clear(sorted)
@@ -150,77 +124,43 @@ func (rp *replyPass) commit() {
 	rp.staged, rp.spare = sorted[:0], spare[:0]
 }
 
-func (rp *replyPass) queueAt(key uint64) []*packet.Packet {
-	if rp.table != nil {
-		return rp.table[key]
+// queue returns the reverse link's queue slot, allocating its page on
+// first touch.
+func (rp *replyPass) queue(key uint64) *[]*packet.Packet {
+	pg := rp.pages[key>>replyPageBits]
+	if pg == nil {
+		pg = new([replyPageSize][]*packet.Packet)
+		rp.pages[key>>replyPageBits] = pg
 	}
-	if rp.pages != nil {
-		if pg := rp.pages[key>>replyPageBits]; pg != nil {
-			return pg[key&replyPageMask]
-		}
-		return nil
-	}
-	return rp.links[key]
-}
-
-func (rp *replyPass) setQueue(key uint64, q []*packet.Packet) {
-	if rp.table != nil {
-		rp.table[key] = q
-		return
-	}
-	if rp.pages != nil {
-		pg := rp.pages[key>>replyPageBits]
-		if pg == nil {
-			pg = new([replyPageSize][]*packet.Packet)
-			rp.pages[key>>replyPageBits] = pg
-		}
-		pg[key&replyPageMask] = q
-		return
-	}
-	rp.links[key] = q
+	return &pg[key&replyPageMask]
 }
 
 func (rp *replyPass) pending() bool { return rp.inFlight > 0 }
 
 // step advances every non-empty reverse link by one packet: replies
 // spawned during this round's forward pass are committed first (so a
-// fresh reply moves a hop in its spawn round, as before), then each
-// link head moves and re-stages for the next hop. Per-link effects
-// commute — advancing a head only appends to the staged buffer, which
-// commit applies in canonical order — so the iteration order over
-// live links is free to be a map walk or the active list.
+// fresh reply moves a hop in its spawn round), then each link head
+// moves and re-stages for the next hop. Per-link effects commute —
+// advancing a head only appends to the staged buffer, which commit
+// applies in canonical order — so the walk order over the active
+// list is free.
 func (rp *replyPass) step(round int) {
 	rp.commit()
-	if rp.dense() {
-		for i := 0; i < len(rp.active); {
-			key := rp.active[i]
-			q := rp.queueAt(key)
-			p := q[0]
-			q[0] = nil
-			if len(q) == 1 {
-				rp.setQueue(key, q[:0])
-				last := len(rp.active) - 1
-				rp.active[i] = rp.active[last]
-				rp.active = rp.active[:last]
-			} else {
-				rp.setQueue(key, q[1:])
-				i++
-			}
-			rp.inFlight--
-			rp.advanceReply(p, round)
+	for i := 0; i < len(rp.active); {
+		q := rp.queue(rp.active[i])
+		p := (*q)[0]
+		(*q)[0] = nil
+		if len(*q) == 1 {
+			*q = (*q)[:0]
+			last := len(rp.active) - 1
+			rp.active[i] = rp.active[last]
+			rp.active = rp.active[:last]
+		} else {
+			*q = (*q)[1:]
+			i++
 		}
-	} else {
-		for key, q := range rp.links {
-			p := q[0]
-			q[0] = nil
-			if len(q) == 1 {
-				delete(rp.links, key)
-			} else {
-				rp.links[key] = q[1:]
-			}
-			rp.inFlight--
-			rp.advanceReply(p, round)
-		}
+		rp.inFlight--
+		rp.advanceReply(p, round)
 	}
 	rp.commit()
 }

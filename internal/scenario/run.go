@@ -22,6 +22,7 @@ import (
 	"pramemu/internal/mathx"
 	"pramemu/internal/mesh"
 	"pramemu/internal/packet"
+	"pramemu/internal/router"
 	"pramemu/internal/simnet"
 	"pramemu/internal/topology"
 	"pramemu/internal/workload"
@@ -509,6 +510,11 @@ func runGenericCell(ctx context.Context, b topology.Built, gen workload.Generato
 		lease = leases.Get(lk)
 		defer leases.Put(lk, lease)
 	}
+	opts := router.Options{
+		Context: ctx, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
+		HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+		MemStats: &ms, Lease: lease, Combine: combine, Event: evOpts,
+	}
 	arena := packet.GetArena()
 	defer packet.PutArena(arena)
 	start := time.Now()
@@ -522,31 +528,16 @@ func runGenericCell(ctx context.Context, b topology.Built, gen workload.Generato
 		if err != nil {
 			return Result{}, err
 		}
-		var r, q int
+		opts.Seed = s * 31
+		var st router.Stats
 		if useSpec {
-			st := leveled.Route(b.Spec, pkts, leveled.Options{
-				Context: ctx,
-				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
-				MemStats: &ms, Lease: lease, Combine: combine, Event: evOpts,
-			})
-			r, q = st.Rounds, st.MaxQueue
-			retransmits += st.Retransmits
-		} else {
-			st, err := simnet.Route(b.Graph, pkts, simnet.Options{
-				Context: ctx,
-				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
-				MemStats: &ms, Lease: lease, Combine: combine, Event: evOpts,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			r, q = st.Rounds, st.MaxQueue
-			retransmits += st.Retransmits
+			st = leveled.Route(b.Spec, pkts, opts)
+		} else if st, err = simnet.Route(b.Graph, pkts, opts); err != nil {
+			return Result{}, err
 		}
-		rounds = append(rounds, r)
-		maxQs = append(maxQs, q)
+		rounds = append(rounds, st.Rounds)
+		maxQs = append(maxQs, st.MaxQueue)
+		retransmits += st.Retransmits
 	}
 	name, view := b.Name(), "direct(2.2)"
 	if useSpec {

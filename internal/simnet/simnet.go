@@ -20,13 +20,12 @@
 package simnet
 
 import (
-	"context"
 	"fmt"
 
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/prng"
 	"pramemu/internal/queue"
+	"pramemu/internal/router"
 	"pramemu/internal/topology"
 )
 
@@ -43,84 +42,23 @@ type Topology = topology.Graph
 // may combine whenever node and destination match.
 type TakenSensitive = topology.TakenSensitive
 
-// Options configures a routing run.
-type Options struct {
-	// Context, when non-nil, lets callers cancel or deadline a run;
-	// the engine polls it cheaply (per round / every few thousand
-	// events) and unwinds with an engine.Abort panic on expiry. A
-	// never-canceled run is bit-identical to one without a context.
-	Context context.Context
-	// Seed drives the random intermediate destinations.
-	Seed uint64
-	// SkipPhase1 routes packets directly along deterministic paths
-	// (the ablation showing why the randomizing phase matters).
-	SkipPhase1 bool
-	// Replies makes delivered requests retrace their paths as replies.
-	Replies bool
-	// Combine enables Theorem 2.6 message combining during phase 2.
-	Combine bool
-	// RecordPaths forces path recording even without Replies/Combine.
-	RecordPaths bool
-	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
-	// 1 the sequential loop. Any value yields identical results.
-	Workers int
-	// HashedKeys forces the engine's hashed-map link state instead of
-	// the dense-table fast path (reply-free runs encode links densely
-	// as node*degree + slot and declare the key space to the engine).
-	// Results are bit-identical either way; the knob exists for
-	// benchmarking the fallback and for path-coverage tests.
-	HashedKeys bool
-	// PagedKeys forces the engine's paged dense tables even when the
-	// declared key space is small enough for flat ones. The engine
-	// selects paged tables automatically beyond 2^24 keys; the knob
-	// exists so equivalence tests and benchmarks can price the paged
-	// path at small scale. Results are bit-identical either way.
-	PagedKeys bool
-	// MemBudget caps the engine's fixed link-table footprint in bytes;
-	// over budget the run degrades to hashed state (pay-per-live-key)
-	// instead of erroring. Zero means no budget. See
-	// engine.Options.MemBudget.
-	MemBudget int64
-	// MemStats, when non-nil, receives the engine's resolved state and
-	// table footprint after the run (ArenaBytes is left to the caller,
-	// which owns the packet arena).
-	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles the engine's table and scratch
-	// allocations across same-shape runs (see engine.Options.Lease);
-	// results are bit-identical with or without it.
-	Lease *engine.Lease
-	// Event, when non-nil, routes on the asynchronous discrete-event
-	// engine instead of synchronous rounds: per-link latency from the
-	// configured distribution, sender-side bandwidth caps and fault
-	// injection (see engine.EventOptions). The simulator fills the
-	// node-decoding hooks so the straggler and delay-matrix axes key
-	// to topology nodes. Stats.Rounds then reports the last delivery
-	// tick (the delivered time).
-	Event *engine.EventOptions
-}
+// Options configures a routing run (the contract shared with
+// internal/leveled).
+type Options = router.Options
 
 // Stats aggregates one routing run; the fields mirror the measures of
 // §2.2.1 (routing time, queue size, delay).
-type Stats struct {
-	Rounds            int
-	RequestRounds     int
-	MaxQueue          int
-	TotalDelay        int64
-	MaxPacketSteps    int
-	DeliveredRequests int
-	DeliveredReplies  int
-	Merges            int
-	Retransmits       int
-	MaxModuleLoad     int
-}
+type Stats = router.Stats
 
-// router holds the immutable per-run configuration; all mutable state
+// sim holds the immutable per-run configuration; all mutable state
 // lives in the engine's shard contexts.
-type router struct {
-	topo       Topology
-	opts       Options
-	record     bool
-	matchTaken bool // combining requires equal per-phase progress
+type sim struct {
+	router.Core
+	topo   Topology
+	record bool
+	// match is the combining-host test: phase 2, plus equal per-phase
+	// progress on taken-sensitive topologies.
+	match func(host, p *packet.Packet) bool
 	// slotKeys selects the dense link encoding node*stride + slot,
 	// used whenever the run spawns no replies. Replies retrace
 	// recorded paths as (from, to) node pairs with no slot attached,
@@ -137,6 +75,10 @@ type router struct {
 // key, 32 bits per endpoint. topology.MaxNodes (2^31) keeps both
 // halves in range, so the encoding cannot collide.
 func edgeKey(from, to int) uint64 { return uint64(from)<<32 | uint64(to) }
+
+// replyKey is the Core's reverse-link encoding: replies retrace over
+// the same packed pairs as the forward traffic of a reply-bearing run.
+func replyKey(_, from, to int) uint64 { return edgeKey(from, to) }
 
 // maxDegree scans the topology for the widest node, the stride of the
 // dense link encoding.
@@ -162,67 +104,26 @@ func Route(topo Topology, pkts []*packet.Packet, opts Options) (Stats, error) {
 		return Stats{}, fmt.Errorf("simnet: %s has %d nodes, exceeding the node-id limit (%d)",
 			topo.Name(), topo.Nodes(), topology.MaxNodes)
 	}
-	r := &router{
+	router.Prepare("simnet", pkts, topo.Nodes(), opts)
+	r := &sim{
+		Core:   router.Core{Name: "simnet", Replies: opts.Replies, ReplyKey: replyKey},
 		topo:   topo,
-		opts:   opts,
-		record: opts.Replies || opts.Combine || opts.RecordPaths,
+		record: opts.Record(),
+		match:  onPhase2,
 	}
-	if ts, ok := topo.(TakenSensitive); ok {
-		r.matchTaken = ts.TakenSensitive()
+	if ts, ok := topo.(TakenSensitive); ok && ts.TakenSensitive() {
+		r.match = atEqualProgress
 	}
 	var maxKey uint64
 	if !opts.Replies {
 		if deg := maxDegree(topo); deg > 0 {
 			r.slotKeys = true
 			r.stride = uint64(deg)
-			if !opts.HashedKeys {
-				maxKey = uint64(topo.Nodes()) * r.stride
-			}
+			maxKey = uint64(topo.Nodes()) * r.stride
 		}
 	}
-	engOpts := engine.Options{
-		Context:    opts.Context,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		MaxKey:     maxKey,
-		MemBudget:  opts.MemBudget,
-		ForcePaged: opts.PagedKeys,
-		Lease:      opts.Lease,
-	}
-	if opts.Event != nil {
-		ev := *opts.Event
-		ev.Nodes = topo.Nodes()
-		if r.slotKeys {
-			stride := r.stride
-			ev.NodeOf = func(key uint64) int { return int(key / stride) }
-			ev.PeerOf = func(key uint64) int { return topo.Neighbor(int(key/stride), int(key%stride)) }
-		} else {
-			// Reply-bearing runs use the packed (from, to) pair encoding
-			// for forward and reverse traffic alike.
-			ev.NodeOf = func(key uint64) int { return int(key >> 32) }
-			ev.PeerOf = func(key uint64) int { return int(key & 0xffffffff) }
-		}
-		engOpts.Event = &ev
-	}
-	eng := engine.New(engOpts)
-	var combiner engine.Combiner
-	if opts.Combine {
-		combiner = r.combine
-	}
-	st := eng.Run(func(ctx *engine.Ctx) {
-		root := prng.New(opts.Seed)
-		seen := make(map[int]bool, len(pkts))
+	inject := func(ctx *engine.Ctx) {
 		for _, p := range pkts {
-			if seen[p.ID] {
-				panic(fmt.Sprintf("simnet: duplicate packet ID %d", p.ID))
-			}
-			seen[p.ID] = true
-			if p.Src < 0 || p.Src >= topo.Nodes() || p.Dst < 0 || p.Dst >= topo.Nodes() {
-				panic(fmt.Sprintf("simnet: packet %d endpoints out of range", p.ID))
-			}
-			p.Rand = root.Split(uint64(p.ID))
-			p.Injected = 0
-			p.Arrived = -1
 			p.Phase = 1
 			p.Stage = 0 // hops taken toward the current target
 			if opts.SkipPhase1 {
@@ -231,36 +132,34 @@ func Route(topo Topology, pkts []*packet.Packet, opts Options) (Stats, error) {
 			} else {
 				p.Inter = p.Rand.Intn(topo.Nodes())
 			}
-			if r.record {
-				p.Path = append(p.Path[:0], int32(p.Src))
-			}
-			if a, delivered := r.advance(ctx, p, p.Src, 0); !delivered {
-				ctx.Emit(a.Key, a.P)
+			if key, delivered := r.advance(ctx, p, p.Src, 0); !delivered {
+				ctx.Emit(key, p)
 			}
 			// src == intermediate == dst: the packet never moves.
 		}
-	}, r.handle, combiner)
-	if opts.MemStats != nil {
-		*opts.MemStats = eng.MemStats()
 	}
-	return Stats{
-		Rounds:            st.Rounds,
-		RequestRounds:     st.RequestRounds,
-		MaxQueue:          st.MaxQueue,
-		TotalDelay:        st.TotalDelay,
-		MaxPacketSteps:    st.MaxPacketSteps,
-		DeliveredRequests: st.DeliveredRequests,
-		DeliveredReplies:  st.DeliveredReplies,
-		Merges:            st.Merges,
-		Retransmits:       st.Retransmits,
-		MaxModuleLoad:     st.MaxModuleLoad,
-	}, nil
+	return router.Run(opts, maxKey, topo.Nodes(), r, inject, r.handle, r.combine), nil
 }
 
-// advance decides the next queue insertion for a forward packet
-// standing at node, or reports final delivery. round is the current
-// simulation round (used for delivery bookkeeping).
-func (r *router) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (engine.Arrival, bool) {
+// NodeOf implements router.Links: the node sending over a link.
+func (r *sim) NodeOf(key uint64) int {
+	if r.slotKeys {
+		return int(key / r.stride)
+	}
+	return int(key >> 32)
+}
+
+// PeerOf implements router.Links: the node receiving over a link.
+func (r *sim) PeerOf(key uint64) int {
+	if r.slotKeys {
+		return r.topo.Neighbor(int(key/r.stride), int(key%r.stride))
+	}
+	return int(key & 0xffffffff)
+}
+
+// advance returns the key of the next link a forward packet standing
+// at node enters, or delivers it there during round.
+func (r *sim) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (uint64, bool) {
 	for {
 		target := p.Inter
 		if p.Phase == 2 {
@@ -269,28 +168,27 @@ func (r *router) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (en
 		slot, done := r.topo.NextHop(node, target, p.Stage)
 		if !done {
 			if r.slotKeys {
-				return engine.Arrival{Key: uint64(node)*r.stride + uint64(slot), P: p}, false
+				return uint64(node)*r.stride + uint64(slot), false
 			}
-			to := r.topo.Neighbor(node, slot)
-			return engine.Arrival{Key: edgeKey(node, to), P: p}, false
+			return edgeKey(node, r.topo.Neighbor(node, slot)), false
 		}
 		if p.Phase == 1 {
 			p.Phase = 2
 			p.Stage = 0
 			continue
 		}
-		r.deliverForward(ctx, p, node, round)
-		return engine.Arrival{}, true
+		r.Deliver(ctx, p, node, round)
+		return 0, true
 	}
 }
 
 // handle advances one popped packet: it just crossed the link encoded
 // in a.Key. Runs concurrently on distinct packets when Workers > 1.
-func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
+func (r *sim) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 	p := a.P
 	p.Hops++
 	if p.Kind.IsReply() {
-		r.handleReplyArrival(ctx, p, round)
+		r.Retrace(ctx, p, round)
 		return
 	}
 	var to int
@@ -303,108 +201,8 @@ func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 	if r.record {
 		p.RecordPath(to)
 	}
-	if next, delivered := r.advance(ctx, p, to, round); !delivered {
-		ctx.Emit(next.Key, next.P)
-	} else if p.Kind == packet.ReadReply && p.Stage > 0 {
-		a := r.replyArrival(p)
-		ctx.Emit(a.Key, a.P)
-	}
-}
-
-func (r *router) deliverForward(ctx *engine.Ctx, p *packet.Packet, node, round int) {
-	if node != p.Dst {
-		panic(fmt.Sprintf("simnet: packet %d delivered to %d, want %d", p.ID, node, p.Dst))
-	}
-	st := ctx.Stats()
-	p.Arrived = round
-	if round > st.RequestRounds {
-		st.RequestRounds = round
-	}
-	n := p.TotalCombined()
-	st.DeliveredRequests += n
-	ctx.AddLoad(node, n)
-	if r.opts.Replies && p.Kind == packet.ReadRequest {
-		r.makeReply(p)
-		p.Stage = len(p.Path) - 1 // index into Path while retracing
-		if p.Stage == 0 {
-			// The request never left home (src == dst == intermediate);
-			// its reply is immediately home too.
-			r.finishReply(ctx, p, round)
-		}
-	} else {
-		// Writes are fire-and-forget ("back in case of a read
-		// instruction", §2.1).
-		r.noteFinished(ctx, p)
-	}
-}
-
-func (r *router) makeReply(p *packet.Packet) {
-	switch p.Kind {
-	case packet.ReadRequest:
-		p.Kind = packet.ReadReply
-	case packet.WriteRequest:
-		p.Kind = packet.WriteAck
-	default:
-		p.Kind = packet.ReadReply
-	}
-}
-
-// replyArrival builds the queue insertion for a reply at Path index
-// p.Stage about to move to index p.Stage-1.
-func (r *router) replyArrival(p *packet.Packet) engine.Arrival {
-	from := int(p.Path[p.Stage])
-	to := int(p.Path[p.Stage-1])
-	return engine.Arrival{Key: edgeKey(from, to), P: p}
-}
-
-func (r *router) handleReplyArrival(ctx *engine.Ctx, p *packet.Packet, round int) {
-	p.Stage--
-	idx := p.Stage
-	for i, at := range p.CombinedAt {
-		if at != idx {
-			continue
-		}
-		child := p.Children[i]
-		r.makeReply(child)
-		if child.Kind == packet.ReadReply {
-			child.Value = p.Value
-		}
-		// The merge node is the last entry of the child's own frozen
-		// path; its index there can differ from idx when the two
-		// requests reached the node over different-length routes.
-		child.Stage = len(child.Path) - 1
-		if child.Stage == 0 {
-			r.finishReply(ctx, child, round)
-		} else {
-			a := r.replyArrival(child)
-			ctx.Emit(a.Key, a.P)
-		}
-	}
-	if idx == 0 {
-		r.finishReply(ctx, p, round)
-		return
-	}
-	a := r.replyArrival(p)
-	ctx.Emit(a.Key, a.P)
-}
-
-func (r *router) finishReply(ctx *engine.Ctx, p *packet.Packet, round int) {
-	if int(p.Path[0]) != p.Src {
-		panic(fmt.Sprintf("simnet: reply %d retraced to %d, want %d", p.ID, p.Path[0], p.Src))
-	}
-	p.Arrived = round
-	ctx.Stats().DeliveredReplies++
-	r.noteFinished(ctx, p)
-}
-
-func (r *router) noteFinished(ctx *engine.Ctx, p *packet.Packet) {
-	st := ctx.Stats()
-	st.TotalDelay += int64(p.Delay)
-	if s := p.Steps(); s > st.MaxPacketSteps {
-		st.MaxPacketSteps = s
-	}
-	if p.Arrived > st.Rounds {
-		st.Rounds = p.Arrived
+	if key, delivered := r.advance(ctx, p, to, round); !delivered {
+		ctx.Emit(key, p)
 	}
 }
 
@@ -413,29 +211,18 @@ func (r *router) noteFinished(ctx *engine.Ctx, p *packet.Packet) {
 // topologies matching (node, dst) guarantees the remaining
 // deterministic paths coincide; on taken-sensitive topologies
 // (shuffle) equal per-phase progress is additionally required.
-func (r *router) combine(ctx *engine.Ctx, q queue.Discipline, a engine.Arrival) bool {
-	p := a.P
-	if !p.Kind.IsRequest() || p.Phase != 2 {
+func (r *sim) combine(ctx *engine.Ctx, q queue.Discipline, a engine.Arrival) bool {
+	if a.P.Phase != 2 {
 		return false
 	}
-	var host *packet.Packet
-	q.Each(func(c *packet.Packet) bool {
-		if c.Kind == p.Kind && c.Phase == 2 && c.Addr == p.Addr &&
-			c.Dst == p.Dst && (!r.matchTaken || c.Stage == p.Stage) {
-			host = c
-			return false
-		}
-		return true
-	})
-	if host == nil {
-		return false
-	}
-	// Both packets stand at the same node, but unlike on a leveled
-	// network their recorded routes there may have different lengths
-	// (phase-1 detours vary per packet), so the merge is recorded at
-	// the HOST's path index — the trigger the host's reply counts
-	// down — while the child's own path simply ends at the merge node.
-	host.Combine(p, len(host.Path)-1)
-	ctx.Stats().Merges++
-	return true
+	return router.Merge(ctx, q, a.P, r.match)
+}
+
+// onPhase2 accepts a combining host on its deterministic final leg.
+func onPhase2(host, _ *packet.Packet) bool { return host.Phase == 2 }
+
+// atEqualProgress additionally requires the host to have taken as
+// many phase-2 hops as the arriving packet.
+func atEqualProgress(host, p *packet.Packet) bool {
+	return host.Phase == 2 && host.Stage == p.Stage
 }

@@ -143,29 +143,6 @@ func TestSharedLinkSerializes(t *testing.T) {
 	}
 }
 
-func TestPanicsOnDuplicateIDs(t *testing.T) {
-	topo := ring{4}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate IDs should panic")
-		}
-	}()
-	mustRoute(t, topo, []*packet.Packet{
-		packet.New(0, 0, 1, packet.Transit),
-		packet.New(0, 1, 2, packet.Transit),
-	}, Options{})
-}
-
-func TestPanicsOnBadEndpoints(t *testing.T) {
-	topo := ring{4}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad endpoints should panic")
-		}
-	}()
-	mustRoute(t, topo, []*packet.Packet{packet.New(0, 0, 9, packet.Transit)}, Options{})
-}
-
 func TestCombiningOnRing(t *testing.T) {
 	topo := ring{16}
 	// Four packets at each of two nodes, all reading the same address
